@@ -5,8 +5,10 @@ functions in the order the server calls them, and records a span around each
 call -- from this file only: nothing inside the program is instrumented.  The
 sketch's own ``insert_many``/``report`` are wrapped at class level for the
 duration of a traced replay, so they appear as child spans of the executor call
-that makes them.  A function that a later refactor removed is looked up, found
-missing, and reported as an ``absent`` layer; the replay carries on without it.
+that makes them.  A layer whose functions a later refactor removed, or whose
+call they no longer accept, is reported ``absent``, and the replay carries on
+without it.  Nothing raised inside the program is caught here: the run counts it
+as a failure.
 """
 
 from __future__ import annotations
@@ -14,53 +16,81 @@ from __future__ import annotations
 import contextlib
 import copy
 import importlib
+import inspect
 import os
 import pickle
 import shutil
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from perfbench.workloads import SKETCH_SEED, UNIVERSE, Workload, frames_of, schedule, stream_name
 
-#: layer name -> (module, attribute) of every public function the replay calls.
-LAYER_FUNCTIONS = {
-    "service.protocol": [("repro.service.protocol", "encode_items"),
-                         ("repro.service.protocol", "decode_items")],
-    "durability.wal": [("repro.durability.wal", "WriteAheadLog.append"),
-                       ("repro.durability.wal", "WriteAheadLog.sync")],
-    "durability.recovery": [("repro.durability.recovery", "recover_sink")],
-    "primitives.batching": [("repro.primitives.batching", "rechunk_arrays")],
-    "pipeline.executor": [("repro.pipeline.executor", "PipelinedExecutor.ingest_chunk"),
-                          ("repro.pipeline.executor", "PipelinedExecutor.snapshot")],
-    "baselines.misra_gries": [("repro.baselines.misra_gries", "MisraGries.insert_many"),
-                              ("repro.baselines.misra_gries", "MisraGries.report")],
+#: The replayed layers: per layer, every public function the replay calls, as
+#: ``(module, dotted attribute, positional arguments, keyword arguments)`` of the
+#: call it makes (``self`` counts as positional).  A layer is absent when one of
+#: its functions is gone or no longer accepts that call.
+LAYERS: Dict[str, List[Tuple[str, str, int, Tuple[str, ...]]]] = {
+    "service.protocol": [
+        ("repro.service.protocol", "encode_items", 1, ()),
+        ("repro.service.protocol", "decode_items", 2, ())],
+    "durability.wal": [
+        ("repro.durability.wal", "WriteAheadLog", 1, ("fsync",)),
+        ("repro.durability.wal", "WriteAheadLog.append", 2, ()),
+        ("repro.durability.wal", "WriteAheadLog.sync", 1, ()),
+        ("repro.durability.wal", "WriteAheadLog.close", 1, ()),
+        ("repro.durability.wal", "WriteAheadLog.segment_paths", 1, ())],
+    "durability.recovery": [
+        ("repro.durability.recovery", "recover_sink", 2, ("chunk_size", "fsync"))],
+    "primitives.batching": [("repro.primitives.batching", "rechunk_arrays", 2, ())],
+    "pipeline.executor": [
+        ("repro.pipeline.executor", "PipelinedExecutor", 0, ("sketch", "chunk_size")),
+        ("repro.pipeline.executor", "PipelinedExecutor.ingest_chunk", 2, ()),
+        ("repro.pipeline.executor", "PipelinedExecutor.snapshot", 1, ("report_kwargs",))],
+    "baselines.misra_gries": [
+        ("repro.baselines.misra_gries", "MisraGries", 0,
+         ("epsilon", "universe_size", "stream_length_hint")),
+        ("repro.baselines.misra_gries", "MisraGries.insert_many", 2, ()),
+        ("repro.baselines.misra_gries", "MisraGries.report", 1, ("phi",))],
     "core.heavy_hitters_optimal": [
-        ("repro.core.heavy_hitters_optimal", "OptimalListHeavyHitters.insert_many"),
-        ("repro.core.heavy_hitters_optimal", "OptimalListHeavyHitters.report")],
-    "service.registry": [("repro.service.registry", "derive_stream_seed")],
-    "primitives.rng": [("repro.primitives.rng", "RandomSource")],
+        ("repro.core.heavy_hitters_optimal", "OptimalListHeavyHitters", 0,
+         ("epsilon", "phi", "universe_size", "stream_length", "rng")),
+        ("repro.core.heavy_hitters_optimal", "OptimalListHeavyHitters.insert_many", 2, ()),
+        ("repro.core.heavy_hitters_optimal", "OptimalListHeavyHitters.report", 1, ())],
 }
 SKETCH_LAYER = {"misra-gries": "baselines.misra_gries", "optimal": "core.heavy_hitters_optimal"}
+#: Not layers, but the sketch cannot be seeded as the server seeds it without them.
+SEEDING = [("repro.primitives.rng", "RandomSource", 1, ()),
+           ("repro.service.registry", "derive_stream_seed", 2, ())]
 
 
-def resolve(module: str, attribute: str) -> Any:
-    """``module.attribute`` (dotted), or ``None`` when a refactor removed it."""
+def resolve(module: str, attribute: str, positional: int, keywords: Tuple[str, ...]) -> Any:
+    """``module.attribute`` (dotted), or ``None`` when it is gone or refuses the call."""
     try:
         target: Any = importlib.import_module(module)
         for part in attribute.split("."):
             target = getattr(target, part)
-    except (ImportError, AttributeError):
+        inspect.signature(target).bind(*[None] * positional, **dict.fromkeys(keywords))
+    except (ImportError, AttributeError, TypeError, ValueError):
         return None
     return target
 
 
-def absent_layers() -> List[str]:
-    return sorted(layer for layer, functions in LAYER_FUNCTIONS.items()
-                  if any(resolve(module, name) is None for module, name in functions))
+def resolve_layers(planted_absent: Optional[str] = None) -> Dict[str, Optional[Dict[str, Any]]]:
+    """Per layer: ``{attribute: object}``, or ``None`` when the layer is absent.
+
+    ``planted_absent`` (self-test only) treats one layer as removed.
+    """
+    layers: Dict[str, Optional[Dict[str, Any]]] = {}
+    for layer, functions in LAYERS.items():
+        found = {attribute: resolve(module, attribute, positional, keywords)
+                 for module, attribute, positional, keywords in functions}
+        present = layer != planted_absent and all(value is not None for value in found.values())
+        layers[layer] = found if present else None
+    return layers
 
 
 # -- spans ----------------------------------------------------------------------------
@@ -196,33 +226,39 @@ class ReplayResult:
 
 
 class Replay:
-    """One workload replayed in process, traced or not."""
+    """One workload replayed in process, traced or not, around any absent layer."""
 
-    def __init__(self, workload: Workload, work_dir: str, tracer: Any) -> None:
+    def __init__(self, workload: Workload, work_dir: str, tracer: Any,
+                 layers: Dict[str, Optional[Dict[str, Any]]]) -> None:
         self.workload = workload
         self.work_dir = work_dir
         self.tracer = tracer
+        self.layers = layers
         self.layer = SKETCH_LAYER[workload.algorithm]
-        self.encode = resolve("repro.service.protocol", "encode_items")
-        self.decode = resolve("repro.service.protocol", "decode_items")
-        self.wal_class = resolve("repro.durability.wal", "WriteAheadLog")
-        self.recover_sink = resolve("repro.durability.recovery", "recover_sink")
-        self.rechunk = resolve("repro.primitives.batching", "rechunk_arrays")
-        self.executor_class = resolve("repro.pipeline.executor", "PipelinedExecutor")
-        self.random_source = resolve("repro.primitives.rng", "RandomSource")
-        self.derive_seed = resolve("repro.service.registry", "derive_stream_seed")
-        if workload.algorithm == "optimal":
-            self.sketch_class = resolve("repro.core.heavy_hitters_optimal",
-                                        "OptimalListHeavyHitters")
-        else:
-            self.sketch_class = resolve("repro.baselines.misra_gries", "MisraGries")
+        self.encode = self.function("service.protocol", "encode_items")
+        self.decode = self.function("service.protocol", "decode_items")
+        self.wal_class = self.function("durability.wal", "WriteAheadLog")
+        self.recover_sink = self.function("durability.recovery", "recover_sink")
+        self.rechunk = self.function("primitives.batching", "rechunk_arrays")
+        self.executor_class = self.function("pipeline.executor", "PipelinedExecutor")
+        self.sketch_class = self.function(
+            self.layer, "OptimalListHeavyHitters" if workload.algorithm == "optimal"
+            else "MisraGries")
+        self.random_source, self.derive_seed = (resolve(*entry) for entry in SEEDING)
         self.kwargs = {"phi": workload.phi} if workload.report_phi is not None else {}
         self.counters: Dict[str, float] = defaultdict(float)
+
+    def function(self, layer: str, attribute: str) -> Any:
+        """A function of ``layer``, or ``None`` when the layer is absent."""
+        found = self.layers[layer]
+        return found[attribute] if found is not None else None
 
     @property
     def possible(self) -> bool:
         """Whether the sketch can be rebuilt exactly as `repro serve` builds it."""
-        if self.sketch_class is None or self.random_source is None:
+        if self.sketch_class is None:
+            return False
+        if self.workload.algorithm == "optimal" and self.random_source is None:
             return False
         return not (self.workload.streams and self.derive_seed is None)
 
@@ -249,6 +285,12 @@ class Replay:
             return None
         return self.wal_class(os.path.join(self.work_dir, label), fsync="off")
 
+    def close_wal(self, wal: Any) -> None:
+        if wal is not None:
+            self.counters["wal_bytes"] += sum(os.path.getsize(path)
+                                              for path in wal.segment_paths())
+            wal.close()
+
     # -- per-layer steps, each one span ------------------------------------------------
 
     def receive(self, frame: np.ndarray, wal: Any) -> np.ndarray:
@@ -259,9 +301,8 @@ class Replay:
             with span("service.protocol.encode"):
                 count, payload = self.encode(frame)
             self.counters["protocol_bytes"] += len(payload)
-            if self.decode is not None:
-                with span("service.protocol.decode"):
-                    batch = self.decode({"items": count}, payload)
+            with span("service.protocol.decode"):
+                batch = self.decode({"items": count}, payload)
         if wal is not None:
             with span("durability.wal.append"):
                 wal.append(batch)
@@ -316,30 +357,38 @@ class Replay:
                         reports, sketches = self._tenants(streams, boundaries)
                     else:
                         reports, sketches = self._default(streams[0])
-                if self.workload.restart and self.recover_sink is not None:
+                # Recovery reads the journal the replay wrote, so it needs both layers.
+                if self.workload.restart and self.recover_sink and self.wal_class:
                     with tracer.span("replay.recovery"):
                         self._recover(streams[0].size)
         finally:
             wall = time.perf_counter() - started
             shutil.rmtree(self.work_dir, ignore_errors=True)
-        processed = sum(getattr(s, "items_processed", 0) for s in sketches)
-        sampled = sum(getattr(s, "sample_size", 0) for s in sketches)
-        self.counters["sample_fraction"] = sampled / processed if processed else 0.0
+        processed = sum(getattr(sketch, "items_processed", 0) for sketch in sketches)
+        if processed and all(hasattr(sketch, "sample_size") for sketch in sketches):
+            self.counters["sample_fraction"] = \
+                sum(sketch.sample_size for sketch in sketches) / processed
         hits, misses = self.counters["snapshot_hits"], self.counters["snapshot_misses"]
-        self.counters["snapshot_cache_hit_ratio"] = hits / (hits + misses) if hits + misses else 0.0
+        if hits + misses:
+            self.counters["snapshot_cache_hit_ratio"] = hits / (hits + misses)
         return ReplayResult(wall_s=wall, reports=reports, counters=dict(self.counters),
                             tracer=tracer)
 
     def _default(self, items: np.ndarray) -> "tuple[Dict[str, Dict[int, float]], List[Any]]":
+        """Frames in, chunks ingested, and a snapshot where the client queries mid-ingest."""
         tracer = self.tracer
+        every = self.workload.round_query_every
         wal = self.open_wal("default")
         sketch = self.build_sketch(SKETCH_SEED)
         executor = self.build_sink(sketch)
 
         def received() -> Iterator[np.ndarray]:
-            for index, frame in enumerate(frames_of(items, self.workload.frame_items)):
-                tracer.frame = index
+            for index, frame in enumerate(frames_of(items, self.workload.frame_items), 1):
+                tracer.frame = index - 1
                 yield self.receive(frame, wal)
+                # Resumed once the chunks this frame completed are ingested.
+                if every and index % every == 0:
+                    self.snapshot(executor, sketch)
 
         size = self.workload.chunk_items
         if self.rechunk is not None:
@@ -355,9 +404,7 @@ class Replay:
             self.ingest(executor, sketch, chunk)
         report = self.report(sketch)
         self.retire(executor)
-        if wal is not None:
-            self.counters["wal_bytes"] += wal_size(wal)
-            wal.close()
+        self.close_wal(wal)
         return {"default": report}, [sketch]
 
     def _recover(self, items: int) -> None:
@@ -409,40 +456,52 @@ class Replay:
             touch(name)
             reports[name] = self.report(sketches[name])
             self.retire(executors[name])
-            if wals[name] is not None:
-                self.counters["wal_bytes"] += wal_size(wals[name])
-                wals[name].close()
+            self.close_wal(wals[name])
         return reports, list(sketches.values())
 
 
-def wal_size(wal: Any) -> int:
-    """Bytes the journal holds on disk."""
-    paths = getattr(wal, "segment_paths", None)
-    return sum(os.path.getsize(path) for path in paths()) if callable(paths) else 0
+def offline_sketch(replay: Replay, items: np.ndarray, seed: int,
+                   cuts: Iterable[int] = ()) -> Any:
+    """``items`` fed chunk by chunk, as the server chunks them, into a fresh sketch.
+
+    At every item boundary in ``cuts`` the sketch takes one pickle round trip,
+    as an eviction spill does (it re-seeds the sketch's random sources).
+    """
+    cuts = set(cuts)
+    size = replay.workload.chunk_items
+    sketch = replay.build_sketch(seed)
+    for start in range(0, items.size + 1, size):
+        if start in cuts:
+            sketch = pickle.loads(pickle.dumps(sketch, protocol=pickle.HIGHEST_PROTOCOL))
+        if start < items.size:
+            sketch.insert_many(items[start:start + size])
+    return sketch
 
 
 def solo_reports(workload: Workload, streams: List[np.ndarray],
-                 boundaries: Dict[str, List[int]]) -> Optional[Dict[str, Dict[int, float]]]:
-    """Each named stream replayed alone, as its offline reference.
+                 boundaries: Dict[str, List[int]], layers: Dict[str, Optional[Dict[str, Any]]]
+                 ) -> Optional[Dict[str, Dict[int, float]]]:
+    """Each named stream replayed alone, seeded as the server seeds it: its offline reference.
 
-    The stream's sketch is seeded as the server seeds it and fed chunk by chunk;
-    at every item boundary where the server evicted the stream, the sketch takes
-    one pickle round trip, because a spill re-seeds the sketch's random sources.
     ``None`` when a refactor removed what rebuilding the sketch needs.
     """
-    replay = Replay(workload, "", NullTracer())
+    replay = Replay(workload, "", NullTracer(), layers)
     if not replay.possible:
         return None
-    size = workload.chunk_items
     reports = {}
     for index, items in enumerate(streams):
         name = stream_name(index)
-        sketch = replay.build_sketch(replay.derive_seed(SKETCH_SEED, name))
-        cuts = set(boundaries.get(name, []))
-        for start in range(0, items.size + 1, size):
-            if start in cuts:
-                sketch = pickle.loads(pickle.dumps(sketch, protocol=pickle.HIGHEST_PROTOCOL))
-            if start < items.size:
-                sketch.insert_many(items[start:start + size])
+        sketch = offline_sketch(replay, items, replay.derive_seed(SKETCH_SEED, name),
+                                boundaries.get(name, []))
         reports[name] = replay.report(sketch)
     return reports
+
+
+def default_stream_sketch(workload: Workload, items: np.ndarray,
+                          layers: Dict[str, Optional[Dict[str, Any]]]) -> Any:
+    """``items`` through the default stream's sketch, declared length ``items.size``.
+
+    ``None`` when a refactor removed what rebuilding the sketch needs.
+    """
+    replay = Replay(replace(workload, items=int(items.size)), "", NullTracer(), layers)
+    return offline_sketch(replay, items, SKETCH_SEED) if replay.possible else None

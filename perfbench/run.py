@@ -30,69 +30,26 @@ import numpy as np  # noqa: E402
 
 from perfbench.gate import definition1_violations, environment  # noqa: E402
 from perfbench.replay import (  # noqa: E402
-    SKETCH_LAYER, NullTracer, Replay, Tracer, absent_layers, solo_reports,
+    LAYERS, SKETCH_LAYER, NullTracer, Replay, Tracer, resolve_layers, solo_reports,
 )
 from perfbench.served import (  # noqa: E402
     COMMAND_ERRORS, Context, Ledger, check_leg, default_stream_round, setup_probe,
     tenants_round,
 )
-from perfbench.workloads import UNIVERSE, WORKLOADS, make_inputs, smoke, stream_name  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    UNIVERSE, WORKLOADS, check_inputs, make_inputs, smoke, stream_name,
+)
 
-#: What a library call raises once a refactor changed the function it names.
-API_CHANGES = (TypeError, AttributeError, ImportError)
 #: Spawns timed per run for ``setup_s`` (round spawns count towards it).
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 7
 #: Largest share of the traced replay's wall time its layer spans may leave uncovered.
 CONSISTENCY_BOUND = 0.10
 
-END_TO_END = {
-    "ingest_items_per_s": "items/s",
-    "setup_s": "s",
-    "query_p50_ms": "ms",
-    "query_p90_ms": "ms",
-    "peak_rss_mb": "MB",
-}
-PER_LAYER = {
-    "service.client.ack_items_per_s": "items/s",
-    "service.client.finish_wait_s": "s",
-    "service.client.frames": "count",
-    "service.server.push_command_s": "s",
-    "service.server.bytes_received": "bytes",
-    "service.protocol.encode_s": "s",
-    "service.protocol.decode_s": "s",
-    "service.protocol.bytes": "bytes",
-    "durability.wal.append_s": "s",
-    "durability.wal.fsync_s": "s",
-    "durability.wal.appends": "count",
-    "durability.wal.bytes": "bytes",
-    "durability.wal.served_fsync_s": "s",
-    "durability.recovery.restart_s": "s",
-    "durability.recovery.replay_items_per_s": "items/s",
-    "primitives.batching.rechunk_s": "s",
-    "pipeline.executor.ingest_self_s": "s",
-    "pipeline.executor.snapshot_s": "s",
-    "pipeline.executor.snapshot_cache_hit_ratio": "ratio",
-    "baselines.misra_gries.insert_many_s": "s",
-    "baselines.misra_gries.insert_items_per_s": "items/s",
-    "core.heavy_hitters_optimal.insert_many_s": "s",
-    "core.heavy_hitters_optimal.insert_items_per_s": "items/s",
-    "core.heavy_hitters_optimal.sample_fraction": "ratio",
-    "core.heavy_hitters_optimal.report_s": "s",
-    "core.heavy_hitters_optimal.deepcopy_s": "s",
-    "core.heavy_hitters_optimal.pickle_s": "s",
-    "core.heavy_hitters_optimal.unpickle_s": "s",
-    "core.heavy_hitters_optimal.pickle_bytes": "bytes",
-    "service.registry.evictions": "count",
-    "service.registry.restores": "count",
-    "service.registry.push_rtt_p50_ms": "ms",
-    "service.checkpoint.save_s": "s",
-    "service.checkpoint.bytes": "bytes",
-    "replay.wall_s": "s",
-    "replay.layer_share": "ratio",
-    "replay.unattributed_s": "s",
-    "replay.trace_overhead_share": "ratio",
-    "replay.absent_layers": "count",
-}
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _handle:
+    SPEC = json.load(_handle)
+#: Metric name -> unit, as BENCHMARK.json lists them.
+UNITS = {metric["name"]: metric["unit"] for metric in SPEC["end_to_end"] + SPEC["per_layer"]}
+PER_LAYER = [metric["name"] for metric in SPEC["per_layer"]]
 
 
 def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
@@ -107,6 +64,8 @@ def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser.add_argument("--plant-drop", action="store_true",
                         help="self-test only: drop the top heavy hitter from the served "
                              "report of the first round, which the gate must catch")
+    parser.add_argument("--plant-absent", choices=sorted(LAYERS),
+                        help="self-test only: treat this replayed layer as removed")
     return parser.parse_args(argv)
 
 
@@ -121,20 +80,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     workload = WORKLOADS[args.workload]
     if args.smoke:
         workload = smoke(workload)
+    layers = resolve_layers(args.plant_absent)
     ledger = Ledger()
     work = os.path.join(ROOT, ".perfbench_work", f"{workload.name}-{os.getpid()}")
     ctx = Context(root=ROOT, work=work, ledger=ledger)
     rounds: List[Dict[str, Any]] = []
     setups: List[float] = []
     replays: Dict[str, Any] = {}
+    leg_queries: List[float] = []
     os.makedirs(work)
     try:
         env = environment(ROOT, work, args.seed)
         inputs = make_inputs(workload, args.seed)
         counts = [np.bincount(items, minlength=UNIVERSE) for items in inputs]
         try:
-            check_leg(ctx, workload, inputs[0])
-        except COMMAND_ERRORS as exc:
+            leg_queries = check_leg(ctx, workload, check_inputs(workload, args.seed), layers)
+        except Exception as exc:
             ledger.fail("served-equals-offline leg", exc)
         count = workload.rounds(args.seconds)
         for index in range(count):
@@ -160,15 +121,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 ledger.fail("setup probe", exc)
                 break
         if args.trace and rounds:
-            replays = run_replays(ctx, workload, inputs, rounds[-1])
+            replays = run_replays(ctx, workload, inputs, rounds[-1], layers)
         elif workload.streams and rounds:
             served = rounds[-1]
             try:
-                solo = solo_reports(workload, inputs, served["boundaries"])
-            except API_CHANGES as exc:
-                ledger.notes.append(f"solo replay could not call the library: {exc!r}")
-                solo = None
-            gate_replay(ledger, workload, "solo-replay", solo, served)
+                solo = solo_reports(workload, inputs, served["boundaries"], layers)
+            except Exception as exc:
+                ledger.fail("solo replay", exc)
+            else:
+                gate_replay(ledger, workload, "solo-replay", solo, served)
     finally:
         shutil.rmtree(work, ignore_errors=True)
         try:
@@ -176,40 +137,43 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError:
             pass
 
-    end_to_end = end_to_end_metrics(workload, rounds, setups)
-    per_layer = per_layer_metrics(workload, rounds, replays) if args.trace else {}
+    # Query round trips per server: each round's, or the check leg's.
+    query_sets = [r["query_s"] for r in rounds if r["query_s"]] + \
+        ([leg_queries] if leg_queries else [])
+    end_to_end = end_to_end_metrics(workload, rounds, setups, query_sets)
+    per_layer, absent = per_layer_metrics(workload, rounds, replays, layers) \
+        if args.trace else ({}, [])
     env["samples"] = {
         "rounds": len(rounds), "setup_spawns": len(setups),
-        "queries": sum(len(result["query_s"]) for result in rounds),
+        "queries": sum(len(latencies) for latencies in query_sets),
     }
     correct = ledger.failed == 0 and bool(rounds)
     shown = per_layer if args.trace else end_to_end
     print(f"workload: {workload.name}  seed: {args.seed}  trace: {args.trace}")
     print("env: " + json.dumps(env, sort_keys=True))
-    for name, (value, unit) in {**end_to_end, **per_layer}.items():
-        print(f"{name}: {value:.6g} {unit}")
+    for name, value in {**end_to_end, **per_layer}.items():
+        print(f"{name}: {value:.6g} {UNITS[name]}")
+    for layer in absent:
+        print(f"layer {layer}: absent")
     items = workload.items * max(1, workload.streams)
     print("per round ingest_items_per_s: "
           + " ".join(f"{items / result['ingest_s']:.6g}" for result in rounds))
-    print("per round query_p90_ms: "
-          + " ".join(f"{query_percentile(result, 90):.4g}" for result in rounds))
+    print("per server query_p90_ms: "
+          + " ".join(f"{percentile_ms(latencies, 90):.4g}" for latencies in query_sets))
     print("per round served WAL fsync s: " + " ".join(
         f"{result['counters'].get('durability.wal.served_fsync_s') or 0:.4g}" for result in rounds))
-    if args.trace:
-        for layer in absent_layers():
-            print(f"layer {layer}: absent")
     print(f"failed_op_share: {ledger.failed / max(1, ledger.attempted):.6g} ratio "
           f"({ledger.failed} of {ledger.attempted} commands and checks)")
     for note in ledger.notes:
         print(f"note: {note}")
     for error in ledger.errors:
         print(f"error: {error}")
-    write_results(args, workload.name, env, end_to_end, per_layer, replays, ledger)
+    write_results(args, workload.name, env, {**end_to_end, **per_layer}, absent, replays, ledger)
     print(json.dumps({
         "correct": correct,
         "attempted": max(1, ledger.attempted),
         "failed": ledger.failed,
-        "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in shown.items()},
+        "metrics": {name: {"value": value, "unit": UNITS[name]} for name, value in shown.items()},
     }))
     return 0 if correct else 1
 
@@ -250,11 +214,11 @@ def gate_replay(ledger: Ledger, workload: Any, label: str,
                 reports: Optional[Dict[str, Dict[int, float]]], served: Dict[str, Any]) -> None:
     """An in-process replay must answer exactly like the server, stream by stream.
 
-    ``reports`` is ``None`` when a refactor removed what the replay needs; the
-    check is then reported absent rather than failed.
+    ``reports`` is ``None`` when a refactor removed what rebuilding the sketch
+    needs; the check is then reported absent rather than failed.
     """
     if reports is None:
-        ledger.notes.append(f"{label} check absent: a function it needs was removed")
+        ledger.notes.append(f"check {label}-equals-served: absent, the sketch cannot be rebuilt")
         return
     expected = served["reports"] if workload.streams else {"default": served["report"]}
     for name, report in expected.items():
@@ -265,26 +229,28 @@ def gate_replay(ledger: Ledger, workload: Any, label: str,
 # -- replays -----------------------------------------------------------------------------
 
 
-def replay_once(ctx: Context, workload: Any, inputs: List[np.ndarray],
-                served: Dict[str, Any], tracer: Any) -> Any:
-    replay = Replay(workload, ctx.fresh_dir("replay"), tracer)
+def replay_once(ctx: Context, workload: Any, inputs: List[np.ndarray], served: Dict[str, Any],
+                tracer: Any, layers: Dict[str, Any], label: str) -> Any:
+    """One replay, or ``None`` when it cannot run or raised (which counts as failed)."""
+    replay = Replay(workload, ctx.fresh_dir("replay"), tracer, layers)
     if not replay.possible:
+        gate_replay(ctx.ledger, workload, f"{label}-replay", None, served)
         return None
     try:
         return replay.run(inputs, served.get("boundaries", {}))
-    except API_CHANGES as exc:
-        ctx.ledger.notes.append(f"replay could not call the library: {exc!r}")
+    except Exception as exc:
+        ctx.ledger.fail(f"{label} replay", exc)
         return None
 
 
 def run_replays(ctx: Context, workload: Any, inputs: List[np.ndarray],
-                served: Dict[str, Any]) -> Dict[str, Any]:
+                served: Dict[str, Any], layers: Dict[str, Any]) -> Dict[str, Any]:
     """Untraced then traced; both are checked against the served answers."""
-    replays = {"untraced": replay_once(ctx, workload, inputs, served, NullTracer()),
-               "traced": replay_once(ctx, workload, inputs, served, Tracer())}
+    replays = {label: replay_once(ctx, workload, inputs, served, tracer, layers, label)
+               for label, tracer in (("untraced", NullTracer()), ("traced", Tracer()))}
     for label, replay in replays.items():
-        gate_replay(ctx.ledger, workload, f"{label}-replay",
-                    replay.reports if replay is not None else None, served)
+        if replay is not None:
+            gate_replay(ctx.ledger, workload, f"{label}-replay", replay.reports, served)
     traced = replays["traced"]
     if traced is not None:
         share = traced.tracer.layer_share()
@@ -296,30 +262,52 @@ def run_replays(ctx: Context, workload: Any, inputs: List[np.ndarray],
 # -- metrics -----------------------------------------------------------------------------
 
 
-def query_percentile(result: Dict[str, Any], percent: float) -> float:
-    """One round's query latency percentile in ms (each round has >= 100 queries)."""
-    return float(np.percentile(result["query_s"], percent)) * 1e3
+def percentile_ms(latencies: List[float], percent: float) -> float:
+    return float(np.percentile(latencies, percent)) * 1e3
 
 
-def end_to_end_metrics(workload: Any, rounds: List[Dict[str, Any]],
-                       setups: List[float]) -> Dict[str, tuple]:
+def end_to_end_metrics(workload: Any, rounds: List[Dict[str, Any]], setups: List[float],
+                       query_sets: List[List[float]]) -> Dict[str, float]:
+    """Medians over the rounds; the query percentiles are taken per server first."""
     items = workload.items * max(1, workload.streams)
     return {
-        "ingest_items_per_s": (median([items / r["ingest_s"] for r in rounds]), "items/s"),
-        "setup_s": (median(setups), "s"),
-        "query_p50_ms": (median([query_percentile(r, 50) for r in rounds]), "ms"),
-        "query_p90_ms": (median([query_percentile(r, 90) for r in rounds]), "ms"),
-        "peak_rss_mb": (median([r["peak_rss_mb"] for r in rounds]), "MB"),
+        "ingest_items_per_s": median([items / r["ingest_s"] for r in rounds]),
+        "setup_s": median(setups),
+        "query_p50_ms": median([percentile_ms(q, 50) for q in query_sets]),
+        "query_p90_ms": median([percentile_ms(q, 90) for q in query_sets]),
+        "peak_rss_mb": median([r["peak_rss_mb"] for r in rounds]),
     }
 
 
-def per_layer_metrics(workload: Any, rounds: List[Dict[str, Any]],
-                      replays: Dict[str, Any]) -> Dict[str, tuple]:
-    items = workload.items * max(1, workload.streams)
-    values: Dict[str, float] = {name: 0.0 for name in PER_LAYER}
+def layer_of(metric: str) -> str:
+    return metric.rsplit(".", 1)[0]
 
-    def served(key: str) -> float:
-        return median([r[key] for r in rounds if r.get(key) is not None])
+
+def exercised(workload: Any, layer: str) -> bool:
+    """Whether the workload uses a layer at all; the metrics of the others read 0."""
+    if layer in SKETCH_LAYER.values():
+        return layer == SKETCH_LAYER[workload.algorithm]
+    if layer == "durability.recovery":
+        return workload.restart
+    if layer in ("service.registry", "service.checkpoint"):
+        return bool(workload.streams)
+    return True
+
+
+def per_layer_metrics(workload: Any, rounds: List[Dict[str, Any]], replays: Dict[str, Any],
+                      layers: Dict[str, Any]) -> "tuple[Dict[str, float], List[str]]":
+    """The measured per-layer metrics, and the layers left absent.
+
+    A layer is absent when the program no longer has its functions, when the
+    replay that measures it did not run, or when the server stopped reporting
+    its counter.  Its metrics are then left out, not reported as 0.
+    """
+    items = workload.items * max(1, workload.streams)
+    values: Dict[str, Optional[float]] = {}
+
+    def served(key: str) -> Optional[float]:
+        found = [r[key] for r in rounds if r.get(key) is not None]
+        return median(found) if found else None
 
     values["service.client.ack_items_per_s"] = median([items / r["ack_s"] for r in rounds])
     values["service.client.finish_wait_s"] = served("finish_wait_s")
@@ -328,69 +316,82 @@ def per_layer_metrics(workload: Any, rounds: List[Dict[str, Any]],
     values["service.registry.evictions"] = served("evictions")
     values["service.registry.restores"] = served("restores")
     pushes_ms = [s * 1e3 for r in rounds for s in r.get("push_s", [])]
-    values["service.registry.push_rtt_p50_ms"] = median(pushes_ms)
+    values["service.registry.push_rtt_p50_ms"] = median(pushes_ms) if pushes_ms else None
     for name in ("service.server.push_command_s", "service.server.bytes_received",
                  "durability.wal.served_fsync_s", "service.checkpoint.save_s",
                  "service.checkpoint.bytes"):
-        values[name] = median([r["counters"][name] for r in rounds
-                               if r["counters"].get(name) is not None])
+        found = [r["counters"][name] for r in rounds if r["counters"].get(name) is not None]
+        values[name] = median(found) if found else None
 
     traced, untraced = replays.get("traced"), replays.get("untraced")
     if traced is not None:
-        layers = traced.tracer.layer_times(within="replay.ingest")
+        spans = traced.tracer.layer_times(within="replay.ingest")
         counters = traced.counters
         sketch = SKETCH_LAYER[workload.algorithm]
-        mapping = {
-            "service.protocol.encode_s": "service.protocol.encode",
-            "service.protocol.decode_s": "service.protocol.decode",
-            "durability.wal.append_s": "durability.wal.append",
-            "durability.wal.fsync_s": "durability.wal.sync",
-            "primitives.batching.rechunk_s": "primitives.batching.rechunk",
-            "pipeline.executor.ingest_self_s": "pipeline.executor.ingest_chunk",
-            "pipeline.executor.snapshot_s": "pipeline.executor.snapshot",
-            f"{sketch}.insert_many_s": f"{sketch}.insert_many",
+        replayed = {
+            "service.protocol.encode_s": spans.get("service.protocol.encode", 0.0),
+            "service.protocol.decode_s": spans.get("service.protocol.decode", 0.0),
+            "service.protocol.bytes": counters.get("protocol_bytes", 0.0),
+            "durability.wal.append_s": spans.get("durability.wal.append", 0.0),
+            "durability.wal.fsync_s": spans.get("durability.wal.sync", 0.0),
+            "durability.wal.appends": counters.get("wal_appends", 0.0),
+            "durability.wal.bytes": counters.get("wal_bytes", 0.0),
+            "durability.recovery.replay_items_per_s": counters.get("recovery_items_per_s"),
+            "primitives.batching.rechunk_s": spans.get("primitives.batching.rechunk", 0.0),
+            "pipeline.executor.ingest_self_s": spans.get("pipeline.executor.ingest_chunk", 0.0),
+            "pipeline.executor.snapshot_s": spans.get("pipeline.executor.snapshot", 0.0),
+            "pipeline.executor.snapshot_cache_hit_ratio": counters.get(
+                "snapshot_cache_hit_ratio", 0.0),
         }
-        for metric, span in mapping.items():
-            values[metric] = layers.get(span, 0.0)
-        if values[f"{sketch}.insert_many_s"] > 0:
-            values[f"{sketch}.insert_items_per_s"] = items / values[f"{sketch}.insert_many_s"]
+        insert_s = spans.get(f"{sketch}.insert_many", 0.0)
+        replayed[f"{sketch}.insert_many_s"] = insert_s
+        replayed[f"{sketch}.insert_items_per_s"] = items / insert_s if insert_s else None
         if workload.algorithm == "optimal":
             for part in ("report", "deepcopy", "pickle", "unpickle"):
-                values[f"{sketch}.{part}_s"] = layers.get(f"{sketch}.{part}", 0.0)
-            values[f"{sketch}.sample_fraction"] = counters.get("sample_fraction", 0.0)
+                replayed[f"{sketch}.{part}_s"] = spans.get(f"{sketch}.{part}", 0.0)
+            replayed[f"{sketch}.sample_fraction"] = counters.get("sample_fraction")
             pickles = counters.get("pickles", 0.0)
-            values[f"{sketch}.pickle_bytes"] = counters.get("pickle_bytes", 0.0) / pickles \
-                if pickles else 0.0
-        values["service.protocol.bytes"] = counters.get("protocol_bytes", 0.0)
-        values["durability.wal.appends"] = counters.get("wal_appends", 0.0)
-        values["durability.wal.bytes"] = counters.get("wal_bytes", 0.0)
-        values["durability.recovery.replay_items_per_s"] = counters.get(
-            "recovery_items_per_s", 0.0)
-        values["pipeline.executor.snapshot_cache_hit_ratio"] = counters.get(
-            "snapshot_cache_hit_ratio", 0.0)
+            replayed[f"{sketch}.pickle_bytes"] = \
+                counters.get("pickle_bytes", 0.0) / pickles if pickles else 0.0
+        for name, value in replayed.items():
+            if layers[layer_of(name)] is not None:
+                values[name] = value
         values["replay.wall_s"] = traced.wall_s
         values["replay.layer_share"] = traced.tracer.layer_share()
-        values["replay.unattributed_s"] = served("ingest_s") - sum(layers.values())
+        ingest_s = served("ingest_s")
+        if ingest_s is not None:
+            values["replay.unattributed_s"] = ingest_s - sum(spans.values())
         if untraced is not None and untraced.wall_s > 0:
             values["replay.trace_overhead_share"] = traced.wall_s / untraced.wall_s - 1.0
-    values["replay.absent_layers"] = float(len(absent_layers()))
-    return {name: (values[name], unit) for name, unit in PER_LAYER.items()}
+
+    metrics: Dict[str, float] = {}
+    absent = {layer for layer, found in layers.items() if found is None}
+    for name in PER_LAYER:
+        layer = layer_of(name)
+        if name == "replay.absent_layers" or layer in absent:
+            continue
+        if not exercised(workload, layer):
+            metrics[name] = 0.0
+        elif values.get(name) is not None:
+            metrics[name] = float(values[name])  # type: ignore[arg-type]
+        else:
+            absent.add(layer)
+    metrics["replay.absent_layers"] = float(len(absent))
+    return metrics, sorted(absent)
 
 
 def write_results(args: argparse.Namespace, name: str, env: Dict[str, Any],
-                  end_to_end: Dict[str, tuple], per_layer: Dict[str, tuple],
-                  replays: Dict[str, Any], ledger: Ledger) -> None:
+                  metrics: Dict[str, float], absent: List[str], replays: Dict[str, Any],
+                  ledger: Ledger) -> None:
     """The run's full record, spans included, under .perfbench_results/ in the checkout."""
     directory = os.path.join(ROOT, ".perfbench_results")
     os.makedirs(directory, exist_ok=True)
     traced = replays.get("traced")
     record = {
         "workload": name, "seed": args.seed, "trace": args.trace, "env": env,
-        "metrics": {key: {"value": value, "unit": unit}
-                    for key, (value, unit) in {**end_to_end, **per_layer}.items()},
+        "metrics": {key: {"value": value, "unit": UNITS[key]} for key, value in metrics.items()},
         "attempted": ledger.attempted, "failed": ledger.failed, "errors": ledger.errors,
-        "notes": ledger.notes,
-        "absent_layers": absent_layers(),
+        "notes": ledger.notes, "absent_layers": absent,
         "spans": traced.tracer.records() if traced is not None else [],
     }
     path = os.path.join(directory, f"{name}-seed{args.seed}-trace{args.trace}.json")

@@ -5,9 +5,10 @@
 Runs every workload untraced and traced on a few thousand items and checks that
 each run passes its correctness gate and prints every metric BENCHMARK.json
 names, with its unit.  Then it plants a wrong report (the top heavy hitter
-dropped from a served answer) and checks that the gate fails the run, and runs
-the benchmark from a directory without the program, where it must fail without
-printing a result.
+dropped from a served answer) and checks that the gate fails the run; treats
+one replayed layer as removed and checks that it is reported absent, with its
+metrics left out; and runs the benchmark from a directory without the program,
+where it must fail without printing a result.
 """
 
 from __future__ import annotations
@@ -66,6 +67,19 @@ def main() -> int:
            and "check definition-1[default] failed" in planted.stdout,
            "a dropped heavy hitter was not caught by the gate", planted.stdout)
     print(f"ok   planted wrong report caught ({result['failed']} failed)")
+
+    removed = run(["--workload", "ingest-small-mg", "--seed", "7", "--seconds", "1",
+                   "--trace", "1", "--smoke", "--plant-absent", "service.protocol"])
+    result = json.loads(removed.stdout.strip().splitlines()[-1])
+    metrics = result["metrics"]
+    expect(removed.returncode == 0 and result["correct"]
+           and "layer service.protocol: absent" in removed.stdout
+           and not any(name.startswith("service.protocol.") for name in metrics)
+           and metrics["replay.absent_layers"]["value"] == 1
+           and "durability.wal.append_s" in metrics,
+           "a removed layer was not reported absent with its metrics left out",
+           removed.stdout)
+    print("ok   removed layer reported absent")
 
     os.makedirs(WORK)
     try:

@@ -22,13 +22,11 @@ import numpy as np
 
 from repro.service import RetryPolicy, ServiceClient
 
+from perfbench.replay import default_stream_sketch
 from perfbench.workloads import (
-    CHECK_ITEMS, SKETCH_SEED, UNIVERSE, Workload, frames_of, schedule, stream_name,
+    SKETCH_SEED, UNIVERSE, Workload, frames_of, schedule, stream_name,
 )
 
-#: Think time before each post-finish query: an interactive client, not a burst.
-#: A burst samples one instant of a shared host; paced queries sample the round.
-QUERY_THINK_S = 0.002
 READY_TIMEOUT_S = 120.0
 REPLY_TIMEOUT_S = 170.0
 #: prctl option: the signal a child receives when its parent dies.
@@ -175,9 +173,14 @@ class Server:
                 self.process.wait()
 
 
+def report_items_of(report: Any) -> Dict[int, float]:
+    """A heavy-hitters report as ``{item: estimate}``."""
+    return {int(item): float(estimate) for item, estimate in report.items.items()}
+
+
 def report_items(result: Any) -> Dict[int, float]:
-    """The served report as ``{item: estimate}``."""
-    return {int(item): float(estimate) for item, estimate in result.report.items.items()}
+    """The served report of a query reply as ``{item: estimate}``."""
+    return report_items_of(result.report)
 
 
 def metric_total(snapshot: Dict[str, Any], name: str, **labels: str) -> Optional[float]:
@@ -236,7 +239,7 @@ def setup_probe(ctx: Context, workload: Workload) -> float:
 
 def default_stream_round(ctx: Context, workload: Workload, items: np.ndarray,
                          plant_drop: bool = False, restart: bool = False) -> Dict[str, Any]:
-    """Push → finish → query probe on the default stream; with ``restart``, kill -9 and recover."""
+    """Push (with mid-ingest queries) → finish → query; with ``restart``, kill -9 and recover."""
     ledger = ctx.ledger
     frames = frames_of(items, workload.frame_items)
     server, setup = spawn(ctx, workload, "round")
@@ -247,25 +250,24 @@ def default_stream_round(ctx: Context, workload: Workload, items: np.ndarray,
         ledger.attempted += 1
         client.config()
         received = 0
+        latencies = []
         started = time.perf_counter()
-        for frame in frames:
+        for index, frame in enumerate(frames, 1):
             ledger.attempted += 1
             received = client.push(frame)
+            if workload.round_query_every and index % workload.round_query_every == 0:
+                ledger.attempted += 1
+                sent = time.perf_counter()
+                client.query(phi=workload.report_phi)
+                latencies.append(time.perf_counter() - sent)
         acked = time.perf_counter()
         ledger.attempted += 1
         client.finish(timeout=REPLY_TIMEOUT_S - 10)
         finished = time.perf_counter()
         ledger.check("acked-count", received == items.size,
                      f"server acked {received} of {items.size} items")
-        latencies = []
-        final = None
-        for _ in range(workload.queries):
-            ledger.attempted += 1
-            time.sleep(QUERY_THINK_S)
-            sent = time.perf_counter()
-            final = client.query(phi=workload.report_phi)
-            latencies.append(time.perf_counter() - sent)
-        ledger.attempted += 1
+        ledger.attempted += 2
+        final = client.query(phi=workload.report_phi)
         snapshot = client.metrics()
         out.update(
             ingest_s=finished - started, ack_s=acked - started, finish_wait_s=finished - acked,
@@ -372,21 +374,31 @@ def tenants_round(ctx: Context, workload: Workload, streams: List[np.ndarray],
     return out
 
 
-def check_leg(ctx: Context, workload: Workload, items: np.ndarray) -> None:
-    """Served equals offline, bit for bit, as `repro query` vs `repro heavy-hitters`.
+def check_leg(ctx: Context, workload: Workload, items: np.ndarray,
+              layers: Dict[str, Any]) -> List[float]:
+    """Served equals offline, bit for bit, on a default-stream leg with the workload's flags.
 
-    A short default-stream leg with the workload's own serve flags; the offline
-    side is the CLI run on the same items written as a stream file.
+    The served report is compared line for line with `repro heavy-hitters` on
+    the same items written as a stream file, and with the library's sketch fed
+    the same chunks in process.  The leg is longer than 6*l items, so Algorithm
+    2 samples; the in-process sketch's ``sample_size`` shows that it did.
+    Returns the round trips of the workload's check-leg mid-ingest queries.
     """
     ledger = ctx.ledger
-    items = items[:CHECK_ITEMS]
+    every = workload.check_query_every
+    latencies: List[float] = []
     server, _ = spawn(ctx, workload, "check", stream_length=int(items.size))
     client = None
     try:
         client = server.client()
-        for frame in frames_of(items, workload.frame_items):
+        for index, frame in enumerate(frames_of(items, workload.frame_items), 1):
             ledger.attempted += 1
             client.push(frame)
+            if every and index % every == 0:
+                ledger.attempted += 1
+                sent = time.perf_counter()
+                client.query(phi=workload.report_phi)
+                latencies.append(time.perf_counter() - sent)
         ledger.attempted += 2
         client.finish(timeout=REPLY_TIMEOUT_S - 10)
         served = client.query(phi=workload.report_phi)
@@ -397,33 +409,62 @@ def check_leg(ctx: Context, workload: Workload, items: np.ndarray) -> None:
         handle.write(f"# universe_size: {UNIVERSE}\n# name: perfbench\n")
         handle.write("\n".join(map(str, items.tolist())))
         handle.write("\n")
-    offline = subprocess.run(
+    # The CLI and the in-process sketch run side by side: neither is timed.
+    offline = subprocess.Popen(
         [sys.executable, "-m", "repro", "heavy-hitters", path,
          "--algorithm", workload.algorithm, "--epsilon", repr(workload.epsilon),
          "--phi", repr(workload.phi), "--seed", str(SKETCH_SEED),
          "--batch-size", str(workload.chunk_items)],
-        cwd=ctx.root, env=child_env(ctx), capture_output=True, text=True, timeout=170,
+        cwd=ctx.root, env=child_env(ctx), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, preexec_fn=die_with_parent,
     )
+    try:
+        sketch = default_stream_sketch(workload, items, layers)
+    finally:
+        try:
+            stdout, stderr = offline.communicate(timeout=170)
+        except subprocess.TimeoutExpired:
+            offline.kill()
+            offline.communicate()
+            raise
+        finally:
+            os.remove(path)
     ledger.attempted += 1
     if offline.returncode != 0:
-        ledger.failed += 1
-        ledger.errors.append(f"repro heavy-hitters exited {offline.returncode}: "
-                             f"{offline.stderr.strip()[-300:]}")
-        return
-    ledger.check("served-equals-offline",
-                 heavy_hitter_lines(offline.stdout) == served_lines(served),
-                 "served report differs from `repro heavy-hitters`")
+        ledger.fail("repro heavy-hitters", RuntimeError(
+            f"exited {offline.returncode}: {stderr.strip()[-300:]}"))
+    else:
+        ledger.check("served-equals-offline",
+                     heavy_hitter_lines(stdout) == served_lines(served),
+                     "served report differs from `repro heavy-hitters`")
+    if sketch is None:
+        ledger.notes.append("check library-equals-served: absent, the sketch cannot be rebuilt")
+        return latencies
+    report = sketch.report(**({"phi": workload.phi} if workload.report_phi is not None else {}))
+    ledger.check("library-equals-served",
+                 report_items_of(report) == report_items(served)
+                 and sketch.items_processed == served.items_processed,
+                 "the in-process sketch answers differently from the served one")
+    if workload.algorithm == "optimal":
+        sampled = getattr(sketch, "sample_size", None)
+        if sampled is None:
+            ledger.notes.append("check check-leg-sampled: absent, the sketch has no sample_size")
+        else:
+            ledger.check("check-leg-sampled", sampled < sketch.items_processed,
+                         f"sample_size {sampled} of {sketch.items_processed} items: "
+                         "the leg did not reach the sampled regime")
+    return latencies
 
 
 def heavy_hitter_lines(stdout: str) -> List[str]:
-    """The ``reported:`` / ``item`` block shared by `repro heavy-hitters` and `repro query`."""
+    """The ``reported:`` / ``item`` block of `repro heavy-hitters` output, sorted."""
     lines = stdout.splitlines()
     starts = [index for index, line in enumerate(lines) if line.startswith("reported:")]
     return sorted(lines[starts[0]:]) if starts else []
 
 
 def served_lines(result: Any) -> List[str]:
-    """The same block rendered from a query reply, in `repro query`'s format."""
+    """The same block rendered from a query reply, in the CLI's line format."""
     items = report_items(result)
     length = max(1, result.items_processed)
     lines = [f"reported: {len(items)}"]

@@ -17,8 +17,6 @@ ZIPF_SKEW = 1.2
 #: The ``serve --seed`` of every run: the sketch's randomness is part of the
 #: program under test, so it stays fixed while the workload seed varies inputs.
 SKETCH_SEED = 16
-#: Items pushed by the once-per-invocation served-equals-offline check leg.
-CHECK_ITEMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -26,18 +24,19 @@ class Workload:
     """One traffic mix: the served configuration and how the client drives it."""
 
     name: str
-    why: str
     algorithm: str            # `repro serve --algorithm`
     epsilon: float
     phi: float
     items: int                # items per stream (also the declared --stream-length)
     frame_items: int          # items per pushed frame
     chunk_items: int          # `repro serve --chunk-size`
+    check_items: int          # items of the once-per-run served-equals-offline leg
     streams: int = 0          # 0: the default stream; k: named streams s0..s(k-1)
     steps: int = 0            # tenants: push-then-query steps of the fixed schedule
     max_live_streams: Optional[int] = None
     restart: bool = False     # SIGKILL after the run and recover on the same WAL dir
-    queries: int = 128        # post-finish query round trips (default-stream workloads)
+    query_every: int = 0      # default stream: one mid-ingest query after every N-th frame
+    check_leg_queries: bool = False  # ... pushed in the untimed check leg, not the rounds
     wal_fsync: str = "always"  # `repro serve --wal-fsync`
     round_seconds: float = 7.0  # nominal length of one round; --seconds sizes the count
 
@@ -66,6 +65,14 @@ class Workload:
         """How many journal appends the ``--wal-fsync`` policy lets pass per fsync."""
         return 1 if self.wal_fsync == "always" else int(self.wal_fsync.split(":")[1])
 
+    @property
+    def round_query_every(self) -> int:
+        return 0 if self.check_leg_queries else self.query_every
+
+    @property
+    def check_query_every(self) -> int:
+        return self.query_every if self.check_leg_queries else 0
+
     def rounds(self, seconds: float) -> int:
         return max(1, int(round(seconds / self.round_seconds)))
 
@@ -75,26 +82,25 @@ WORKLOADS: Dict[str, Workload] = {
     for wl in (
         Workload(
             name="ingest-small-mg",
-            why=("stack-bound: 1,024-item frames make protocol, dispatch, per-frame "
-                 "WAL append and re-chunking most of the cost; then kill -9 and recover"),
             algorithm="misra-gries", epsilon=0.01, phi=0.05,
-            items=10_000_000, frame_items=1024, chunk_items=1 << 16,
-            restart=True, wal_fsync="interval:64", round_seconds=5.0,
+            items=10_000_000, frame_items=1024, chunk_items=1 << 16, check_items=1 << 17,
+            # One query per chunk of pushed items: 152 per round.
+            query_every=64, restart=True, wal_fsync="interval:64", round_seconds=6.0,
         ),
         Workload(
             name="ingest-alg2-sampled",
-            why=("sketch-bound Algorithm 2 at m=1e7 where its sampling is active "
-                 "(p~0.147); the stack is idle, so stack changes should not move it"),
             algorithm="optimal", epsilon=0.02, phi=0.05,
+            # The check leg (24 frames) passes 6*l = 1.47M items, so Algorithm 2 samples.
             items=10_000_000, frame_items=1 << 16, chunk_items=1 << 16,
-            round_seconds=9.5,
+            check_items=24 << 16,
+            # One mid-ingest query per frame.  Each copies the sketch (~0.4 s), so
+            # they go to the check leg, and the timed rounds stay pure ingest.
+            query_every=1, check_leg_queries=True, round_seconds=15.0,
         ),
         Workload(
             name="tenants-alg2-mixed",
-            why=("4 named Algorithm 2 streams under a cap of 2: every push and query "
-                 "evicts and restores, so registry, pickle and snapshot copy dominate"),
             algorithm="optimal", epsilon=0.05, phi=0.1,
-            items=25 * 4096, frame_items=4096, chunk_items=4096,
+            items=25 * 4096, frame_items=4096, chunk_items=4096, check_items=1 << 18,
             streams=4, steps=100, max_live_streams=2, round_seconds=30.0,
         ),
     )
@@ -102,12 +108,15 @@ WORKLOADS: Dict[str, Workload] = {
 
 
 def smoke(workload: Workload) -> Workload:
-    """The same workload at self-test size: seconds instead of minutes."""
+    """The same workload at self-test size: seconds instead of minutes.
+
+    The check leg keeps its size, so the self-test covers Algorithm 2's sampling too.
+    """
     if workload.streams:
         return replace(workload, items=3 * 1024, frame_items=1024, chunk_items=1024,
                        steps=12)
-    return replace(workload, items=1 << 17, frame_items=min(workload.frame_items, 1 << 14),
-                   chunk_items=1 << 14, queries=16)
+    return replace(workload, items=1 << 17, chunk_items=1 << 14,
+                   query_every=min(workload.query_every, 4))
 
 
 def zipf_items(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -123,6 +132,11 @@ def make_inputs(workload: Workload, seed: int) -> List[np.ndarray]:
     """One item array per stream (a single array for default-stream workloads)."""
     rng = np.random.default_rng(seed)
     return [zipf_items(rng, workload.items) for _ in range(max(1, workload.streams))]
+
+
+def check_inputs(workload: Workload, seed: int) -> np.ndarray:
+    """The check leg's items: drawn from ``seed`` apart from the timed streams."""
+    return zipf_items(np.random.default_rng([seed, 1]), workload.check_items)
 
 
 def frames_of(items: np.ndarray, frame_items: int) -> List[np.ndarray]:
