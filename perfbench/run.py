@@ -300,7 +300,7 @@ def per_layer_metrics(workload: Any, rounds: List[Dict[str, Any]], replays: Dict
 
     A layer is absent when the program no longer has its functions, when the
     replay that measures it did not run, or when the server stopped reporting
-    its counter.  Its metrics are then left out, not reported as 0.
+    its counter.  What could not be measured is left out, not reported as 0.
     """
     items = workload.items * max(1, workload.streams)
     values: Dict[str, Optional[float]] = {}
@@ -368,9 +368,9 @@ def per_layer_metrics(workload: Any, rounds: List[Dict[str, Any]], replays: Dict
     absent = {layer for layer, found in layers.items() if found is None}
     for name in PER_LAYER:
         layer = layer_of(name)
-        if name == "replay.absent_layers" or layer in absent:
+        if name == "replay.absent_layers":
             continue
-        if not exercised(workload, layer):
+        if not exercised(workload, layer) and layer not in absent:
             metrics[name] = 0.0
         elif values.get(name) is not None:
             metrics[name] = float(values[name])  # type: ignore[arg-type]
