@@ -395,7 +395,11 @@ def check_leg(ctx: Context, workload: Workload, items: np.ndarray,
             ledger.attempted += 1
             client.push(frame)
             if every and index % every == 0:
-                ledger.attempted += 1
+                # Read your own writes: wait (untimed) until the frame is ingested,
+                # so every query copies the prefix it follows; otherwise a query that
+                # reaches the lock before the pipeline is a cache hit of the last one.
+                ledger.attempted += 2
+                client.flush(timeout=REPLY_TIMEOUT_S - 10)
                 sent = time.perf_counter()
                 client.query(phi=workload.report_phi)
                 latencies.append(time.perf_counter() - sent)
